@@ -8,7 +8,6 @@ the concatenation over all metrics is the sample fed to the classifiers.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 
@@ -28,34 +27,48 @@ STAT_NAMES = (
 )
 
 
-def _column_features(col: np.ndarray) -> list[float]:
-    if col.size == 0:
-        raise ConfigError("cannot extract features from an empty window")
-    constant = bool(np.all(col == col[0]))
-    return [
-        float(np.mean(col)),
-        float(np.std(col)),
-        float(np.min(col)),
-        float(np.max(col)),
-        0.0 if constant else float(stats.skew(col)),
-        0.0 if constant else float(stats.kurtosis(col)),
-        float(np.percentile(col, 5)),
-        float(np.percentile(col, 25)),
-        float(np.percentile(col, 50)),
-        float(np.percentile(col, 75)),
-        float(np.percentile(col, 95)),
-    ]
-
-
 def extract_features(window: np.ndarray) -> np.ndarray:
     """Features for one (T, M) window: 11 statistics per metric column."""
     arr = np.asarray(window, dtype=float)
     if arr.ndim != 2:
         raise ConfigError("window must be a (T, M) array")
-    feats: list[float] = []
-    for m in range(arr.shape[1]):
-        feats.extend(_column_features(arr[:, m]))
-    return np.asarray(feats)
+    if arr.shape[0] == 0:
+        raise ConfigError("cannot extract features from an empty window")
+    cols = np.ascontiguousarray(arr.T)  # (M, T): one row per metric
+    mean = cols.mean(axis=1, keepdims=True)
+    # skew and kurtosis exactly as scipy.stats computes them (biased,
+    # Fisher): central moments along each row ...
+    d = cols - mean
+    sq = d**2
+    m2 = sq.mean(axis=1)
+    m3 = (sq * d).mean(axis=1)
+    m4 = (sq**2).mean(axis=1)
+    # ... but the last steps stay scalar per column: numpy's SIMD pow on
+    # arrays (and its x**2 -> x*x shortcut) can land one ulp away from the
+    # libm pow scipy applies to a single column's moments
+    eps = np.finfo(float).eps
+    shape = np.array(
+        [
+            (np.nan, np.nan)
+            if v <= (eps * mu) ** 2
+            else (c3 / v**1.5, c4 / v**2.0 - 3)
+            for mu, v, c3, c4 in zip(mean[:, 0], m2, m3, m4)
+        ]
+    ).reshape(-1, 2)
+    # a constant column has no shape: report 0.0 rather than nan
+    shape[np.all(cols == cols[:, :1], axis=1)] = 0.0
+    feats = np.column_stack(
+        [
+            mean[:, 0],
+            cols.std(axis=1),
+            cols.min(axis=1),
+            cols.max(axis=1),
+            shape[:, 0],
+            shape[:, 1],
+            *np.percentile(cols, [5, 25, 50, 75, 95], axis=1),
+        ]
+    )
+    return feats.ravel()
 
 
 def feature_names(metrics: list[str]) -> list[str]:

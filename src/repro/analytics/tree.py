@@ -158,48 +158,47 @@ class DecisionTreeClassifier:
             features = self._rng.choice(self.n_features_, size=k, replace=False)
         else:
             features = np.arange(self.n_features_)
-        best: tuple[float, int, float] | None = None
         parent_counts = np.bincount(y, weights=w, minlength=n_classes)
         parent_impurity = _gini(parent_counts)
         total_w = parent_counts.sum()
         leaf = self.min_samples_leaf
-        for feature in features:
-            order = np.argsort(X[:, feature], kind="stable")
-            xs, ys, ws = X[order, feature], y[order], w[order]
-            # prefix-weighted class counts per candidate boundary
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), ys] = ws
-            prefix = np.cumsum(onehot, axis=0)
-            # candidate split after position i (between xs[i] and xs[i+1]),
-            # respecting the minimum leaf size
-            boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-            boundaries = boundaries[
-                (boundaries + 1 >= leaf) & (n - boundaries - 1 >= leaf)
-            ]
-            if boundaries.size == 0:
-                continue
-            left = prefix[boundaries]  # (B, C)
-            right = parent_counts[None, :] - left
-            lw = left.sum(axis=1)
-            rw = right.sum(axis=1)
-            valid = (lw > 0) & (rw > 0)
-            if not np.any(valid):
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum((left / lw[:, None]) ** 2, axis=1)
-                gini_right = 1.0 - np.sum((right / rw[:, None]) ** 2, axis=1)
+        # all candidate features at once: column j sorts feature features[j]
+        Xf = X[:, features]
+        order = np.argsort(Xf, axis=0, kind="stable")
+        xs = np.take_along_axis(Xf, order, axis=0)
+        # prefix-weighted class counts per (position, feature)
+        onehot = np.zeros((n, k, n_classes))
+        onehot[np.arange(n)[:, None], np.arange(k), y[order]] = w[order]
+        prefix = np.cumsum(onehot, axis=0)
+        # candidate split after position i (between xs[i] and xs[i+1]),
+        # respecting the minimum leaf size
+        left = prefix[:-1]  # (n-1, k, C)
+        right = parent_counts - left
+        lw = left.sum(axis=2)
+        rw = right.sum(axis=2)
+        pos = np.arange(n - 1)[:, None]
+        valid = (
+            (xs[:-1] < xs[1:])
+            & (pos + 1 >= leaf)
+            & (n - pos - 1 >= leaf)
+            & (lw > 0)
+            & (rw > 0)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_left = 1.0 - np.sum((left / lw[..., None]) ** 2, axis=2)
+            gini_right = 1.0 - np.sum((right / rw[..., None]) ** 2, axis=2)
             impurity = (lw * gini_left + rw * gini_right) / total_w
-            impurity[~valid] = np.inf
-            gains = parent_impurity - impurity
-            idx = int(np.argmax(gains))
-            gain = float(gains[idx])
-            if gain > 1e-12 and (best is None or gain > best[0]):
-                i = int(boundaries[idx])
-                threshold = float((xs[i] + xs[i + 1]) / 2.0)
-                best = (gain, int(feature), threshold)
-        if best is None:
+            gains = np.where(valid, parent_impurity - impurity, -np.inf)
+        # first best boundary per feature, then the first feature (in
+        # ``features`` order) with the strictly largest gain
+        idx = np.argmax(gains, axis=0)
+        per_feature = gains[idx, np.arange(k)]
+        j = int(np.argmax(per_feature))
+        gain = float(per_feature[j])
+        if not gain > 1e-12:
             return None
-        return best[1], best[2], best[0]
+        i = int(idx[j])
+        return int(features[j]), float((xs[i, j] + xs[i + 1, j]) / 2.0), gain
 
     # -- prediction ---------------------------------------------------------
 

@@ -60,10 +60,6 @@ class FaultError(ReproError):
     """Invalid fault-injection configuration or usage (repro.faults)."""
 
 
-class FaultInterrupt(ProcessCrash):
-    """Delivered into a simulated process when a fault terminates it."""
-
-
 class MPITimeoutError(ProcessCrash):
     """A collective operation exceeded its timeout (abort semantics)."""
 

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.injector import AnomalyInjector
-    from repro.monitoring.service import MetricService
-    from repro.sim.stats import SimStats
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -34,34 +28,3 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
-
-
-def write_result_manifest(
-    directory: str | Path,
-    name: str,
-    results_text: str,
-    seed: int | None = None,
-    config: Mapping[str, object] | None = None,
-    stats: "SimStats | None" = None,
-    injector: "AnomalyInjector | None" = None,
-    service: "MetricService | None" = None,
-) -> Path:
-    """Write ``<directory>/<name>.manifest.json`` next to a results table.
-
-    The manifest (see :mod:`repro.obs.manifest`) records the provenance of
-    the rendered artefact — seed, config, injection labels, deterministic
-    counters and a checksum of the table text — and is byte-identical
-    across same-seed reruns.
-    """
-    from repro.obs.manifest import build_manifest, write_manifest
-
-    manifest = build_manifest(
-        name=name,
-        seed=seed,
-        config=config,
-        stats=stats,
-        injector=injector,
-        service=service,
-        results_text=results_text,
-    )
-    return write_manifest(Path(directory) / f"{name}.manifest.json", manifest)
