@@ -26,7 +26,7 @@ baseline):
     feed it), reported as solves/s.
 
 ``same_timestamp_burst``
-    The calendar queue under the engine's batched-dispatch access
+    The heap event queue under the engine's batched-dispatch access
     pattern: bursts of equal-timestamp events pushed and drained through
     ``peek_time``/``pop_at``, reported as events/s.
 
@@ -261,20 +261,20 @@ def bench_waterfill_wide(repeat: int) -> dict:
 
 
 def bench_same_timestamp_burst(repeat: int) -> dict:
-    """Calendar queue under the engine's batched-dispatch pattern.
+    """The heap event queue under the engine's batched-dispatch pattern.
 
     Bursts of equal-timestamp events (a barrier releasing a node's worth
     of ranks at once) are pushed and drained through the exact
     ``peek_time``/``pop_at`` sequence the engine's batched dispatch
     uses; drain order is checked against the FIFO tie-break contract.
     """
-    from repro.sim.events import CalendarQueue
+    from repro.sim.events import EventQueue
 
     timestamps, burst = 400, 64
     events = timestamps * burst
 
     def run() -> float:
-        queue = CalendarQueue()
+        queue = EventQueue()
         fired: list[int] = []
         t0 = time.perf_counter()
         for ts in range(timestamps):

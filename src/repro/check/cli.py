@@ -66,7 +66,8 @@ def build_check_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-oracles",
         action="store_true",
-        help="skip the global oracles (parallel sweep, checkpoint, CLI)",
+        help="skip the global oracles (parallel sweep, backends, "
+        "checkpoint, result cache, streaming, trace replay)",
     )
     return parser
 

@@ -284,7 +284,7 @@ def run_fuzz(
     every job count).  ``with_oracles`` additionally runs the global
     differential oracles — parallel-vs-serial sweep, array-vs-object
     backend equivalence (replaying the pinned corpus), checkpoint/restart
-    equivalence, registry-vs-legacy CLI, streamed-vs-batch telemetry
+    equivalence, cached-vs-fresh results, streamed-vs-batch telemetry
     export, and trace record/replay identity — which exercise machinery a
     single case cannot.  ``trace_corpus`` names a directory of pinned
     workload traces additionally replayed on both backends

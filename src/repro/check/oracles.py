@@ -1,11 +1,10 @@
 """Differential oracles: paired paths that must agree byte-for-byte.
 
-Every optimisation PR so far kept a reference path alive next to its
-fast path — full resolve next to incremental, cold flow solves next to
-the memo, serial sweeps next to ``--jobs N``, uninterrupted jobs next to
-checkpoint/restart, and the legacy CLI spelling next to the experiment
-registry.  Each oracle here runs one seeded scenario through both sides
-and reports whether the results are byte-identical; the per-case
+Every optimisation keeps a reference path alive next to its fast path —
+full resolve next to incremental, cold flow solves next to the memo,
+serial sweeps next to ``--jobs N``, uninterrupted jobs next to
+checkpoint/restart.  Each oracle here runs one seeded scenario through
+both sides and reports whether the results are byte-identical; the per-case
 incremental/memo variants live in :mod:`repro.check.harness` (they reuse
 the case fingerprint), while this module holds the oracles that need
 machinery a single case cannot exercise.
@@ -18,7 +17,6 @@ exists to catch.
 from __future__ import annotations
 
 import io
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
 from repro.apps.base import AppJob, CheckpointStore
@@ -69,11 +67,11 @@ def oracle_array_backend(
 
     Every case (the pinned corpus, when given, plus ``cases`` freshly
     generated specs) runs twice on fresh clusters — once on the
-    dict-based reference model with the heap event queue, once on
-    :class:`~repro.cluster.ratemodel.ArrayRateModel` with the calendar
-    queue and batched dispatch — and the final fingerprints must match
-    byte-for-byte.  This is the oracle that licenses running production
-    sweeps with ``--backend array``.
+    dict-based reference model, once on
+    :class:`~repro.cluster.ratemodel.ArrayRateModel` (both under the same
+    heap event queue and batched dispatch) — and the final fingerprints
+    must match byte-for-byte.  This is the oracle that licenses running
+    production sweeps with ``--backend array``.
     """
     from repro.check.harness import _run_case
 
@@ -312,12 +310,12 @@ def oracle_stream_export(
     )
 
 
-# -- registry vs legacy CLI ---------------------------------------------------
+# -- cached vs fresh results --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ProbeResult:
-    """Tiny renderable result for the CLI-equivalence probe."""
+    """Tiny renderable result for the result-cache probe."""
 
     runtime: float
 
@@ -329,50 +327,6 @@ def _run_check_probe(seed: int = 0) -> _ProbeResult:
     cluster = Cluster.voltrino(num_nodes=2)
     job = _checkpoint_job(cluster, seed, iterations=2, interval=None)
     return _ProbeResult(runtime=job.run())
-
-
-def oracle_registry_cli(seed: int = 0) -> OracleResult:
-    """``repro experiment X`` and the legacy ``repro X`` alias must print
-    byte-identical stdout (the alias may add only a stderr warning)."""
-    from repro.cli import experiment_main, main as cli_main
-    from repro.experiments.registry import EXPERIMENT_REGISTRY, ExperimentSpec
-
-    name = "check_probe"
-    spec = ExperimentSpec(
-        name,
-        "internal probe for the registry-vs-CLI oracle",
-        _run_check_probe,
-        "CheckProbeResult",
-        seed=seed,
-    )
-    EXPERIMENT_REGISTRY[name] = spec
-    try:
-        registry_out = io.StringIO()
-        with redirect_stdout(registry_out):
-            rc_registry = experiment_main([name, "--no-persist"])
-        legacy_out = io.StringIO()
-        with redirect_stdout(legacy_out), redirect_stderr(io.StringIO()):
-            rc_legacy = cli_main([name, "--no-persist"])
-    finally:
-        EXPERIMENT_REGISTRY.pop(name, None)
-    if rc_registry != 0 or rc_legacy != 0:
-        return OracleResult(
-            "registry_cli",
-            False,
-            f"exit codes differ or non-zero: registry={rc_registry} "
-            f"legacy={rc_legacy}",
-        )
-    if registry_out.getvalue() == legacy_out.getvalue():
-        return OracleResult("registry_cli", True)
-    return OracleResult(
-        "registry_cli",
-        False,
-        "stdout of `repro experiment check_probe` differs from the "
-        "legacy `repro check_probe` spelling",
-    )
-
-
-# -- cached vs fresh results --------------------------------------------------
 
 
 def oracle_result_cache(seed: int = 0) -> OracleResult:
@@ -615,7 +569,6 @@ def run_global_oracles(seed: int, corpus: list | None = None) -> list[OracleResu
         oracle_array_backend(seed, corpus=corpus),
         oracle_checkpoint_restart(seed),
         oracle_checkpoint_free(seed),
-        oracle_registry_cli(seed),
         oracle_result_cache(seed),
         oracle_stream_export(seed, corpus=corpus),
         oracle_trace_replay(seed),

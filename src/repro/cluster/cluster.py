@@ -20,7 +20,7 @@ from repro.errors import ConfigError
 from repro.memory.bandwidth import ShareFn
 from repro.network.topology import NetworkTopology, aries_like, star
 from repro.resources.fairshare import max_min_fair_share
-from repro.sim.engine import Simulator, default_backend
+from repro.sim.engine import BACKENDS, Simulator, default_backend
 from repro.sim.process import Body, SimProcess
 from repro.storage.filesystem import SharedFilesystem
 
@@ -50,10 +50,10 @@ class Cluster:
         Rate-model ablation knobs (see
         :class:`~repro.cluster.ratemodel.ClusterRateModel`).
     backend:
-        ``"object"`` for the reference dict-based rate model and heap
-        event queue, ``"array"`` for the numpy-backed hot path (same
-        results, byte-for-byte — the ``repro check`` differential oracle
-        pins this).  ``None`` reads ``REPRO_BACKEND`` (default object).
+        ``"object"`` for the reference dict-based rate model, ``"array"``
+        for the numpy-backed hot path (same results, byte-for-byte — the
+        ``repro check`` differential oracle pins this).  ``None`` reads
+        ``REPRO_BACKEND`` (default object).
     """
 
     def __init__(
@@ -89,6 +89,8 @@ class Cluster:
         #: nothing beyond the attribute read.
         self.faults = None
         backend = default_backend() if backend is None else backend
+        if backend not in BACKENDS:
+            raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.backend = backend
         model_cls = ArrayRateModel if backend == "array" else ClusterRateModel
         self.model = model_cls(
@@ -97,7 +99,7 @@ class Cluster:
             cache_sharpness=cache_sharpness,
             k_paths=k_paths,
         )
-        self.sim = Simulator(self.model, backend=backend)
+        self.sim = Simulator(self.model)
         for node in self.nodes.values():
             node.memory.oom_killer = self._oom_kill
         if _CLUSTER_OBSERVERS:

@@ -15,7 +15,6 @@ from repro.check.oracles import (
     oracle_checkpoint_free,
     oracle_checkpoint_restart,
     oracle_parallel_sweep,
-    oracle_registry_cli,
     oracle_result_cache,
     oracle_stream_export,
     run_global_oracles,
@@ -34,7 +33,6 @@ class TestCleanTree:
             "array_backend",
             "checkpoint_restart",
             "checkpoint_free",
-            "registry_cli",
             "result_cache",
             "stream_export",
             "trace_replay",
@@ -88,28 +86,6 @@ class TestArrayBackendOracle:
         assert not result.ok
         assert "array backend diverges" in result.detail
 
-    def test_catches_batch_merging_close_timestamps(self, monkeypatch):
-        # Planted bug in the *engine* half of the backend: a calendar
-        # queue whose ``pop_at`` drains events merely *close* to the
-        # batch timestamp instead of exactly equal.  Merging two distinct
-        # instants into one batch changes accrual windows and resolve
-        # cadence, which must surface as a fingerprint divergence — this
-        # is the regression the exact float comparison in ``pop_at``
-        # exists to prevent.
-        from repro.sim.events import CalendarQueue
-
-        def sloppy_pop_at(self, time):
-            event = self._scan(pop=False)
-            if event is None or abs(event.time - time) > 1e-9 * max(
-                1.0, abs(time)
-            ):
-                return None
-            return self._scan(pop=True)
-
-        monkeypatch.setattr(CalendarQueue, "pop_at", sloppy_pop_at)
-        result = oracle_array_backend(seed=3, cases=2)
-        assert not result.ok
-
 
 class TestCheckpointRestartOracle:
     def test_passes_clean(self):
@@ -133,33 +109,6 @@ class TestCheckpointFreeOracle:
     def test_passes_clean(self):
         result = oracle_checkpoint_free(seed=0)
         assert result.ok, result.detail
-
-
-class TestRegistryCliOracle:
-    def test_passes_clean(self, capsys):
-        result = oracle_registry_cli(seed=0)
-        assert result.ok, result.detail
-        # the probe spec must not leak into the registry
-        from repro.experiments.registry import EXPERIMENT_REGISTRY
-
-        assert "check_probe" not in EXPERIMENT_REGISTRY
-
-    def test_catches_diverging_output(self, monkeypatch):
-        # Simulate the regression this oracle exists for: the legacy
-        # spelling printing something the registry spelling does not.
-        from repro import cli
-        from repro.output import OutputWriter
-
-        real_main = cli.main
-
-        def noisy_main(argv):
-            rc = real_main(argv)
-            OutputWriter().line("legacy extra line")
-            return rc
-
-        monkeypatch.setattr(cli, "main", noisy_main)
-        result = oracle_registry_cli(seed=0)
-        assert not result.ok
 
 
 class TestResultCacheOracle:

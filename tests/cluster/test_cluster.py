@@ -43,6 +43,15 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Cluster(num_nodes=0)
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigError):
+            Cluster.voltrino(num_nodes=2, backend="bogus")
+
+    def test_unknown_env_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(ConfigError):
+            Cluster.voltrino(num_nodes=2)
+
 
 class TestSpawn:
     def test_spawn_validates_core(self):
