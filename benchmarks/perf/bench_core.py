@@ -187,7 +187,7 @@ def bench_resolve_heavy(repeat: int) -> dict:
         "array_resolves",
         "vectorized_waterfills",
         "stage1_memo_hits",
-        "network_memo_hits",
+        "flow_memo_hits",
         "nodes_reused",
         "batched_events",
         "reschedules_skipped",

@@ -16,18 +16,21 @@
 per-process and per-node counters, which is what the LDMS-style samplers
 read at 1 Hz.
 
-Resolves are *incremental*: the engine passes the set of pids whose
-segment changed, stage 1 re-solves only the nodes hosting a dirty pid
-(clean nodes reuse their cached per-node result bit-for-bit), and the
-network/storage stages are skipped outright when their demand signature
-is unchanged since the previous resolve (see docs/PERFORMANCE.md).
+Resolves are *incremental*, with one reuse layer per stage (see
+docs/PERFORMANCE.md): the engine passes the set of pids whose segment
+changed and stage 1 re-solves only the nodes hosting a dirty pid (clean
+nodes reuse their cached per-node result bit-for-bit); the network stage
+re-folds grants on every resolve but the flow solve behind it is
+memoized by :class:`~repro.network.flows.FlowSolver`; the storage stage
+is skipped outright when its demand signature is unchanged since the
+previous resolve.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -61,12 +64,11 @@ class _NodeSolve:
 
 @dataclass
 class _StageSolve:
-    """Cached network/storage stage outcome, keyed by a demand signature."""
+    """Cached storage stage outcome, keyed by its demand signature."""
 
     signature: tuple
     ratios: dict[int, float]
     rates: dict[int, dict[str, float]]
-    remote: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 class ClusterRateModel(RateModel):
@@ -99,9 +101,9 @@ class ClusterRateModel(RateModel):
         self.cluster = cluster
         self.share_fn = share_fn
         self.cache_sharpness = cache_sharpness
-        #: re-solve only dirty nodes and skip unchanged network/storage
-        #: stages; setting False re-prices everything on every resolve
-        #: (the from-scratch reference path, used by the equivalence tests)
+        #: re-solve only dirty nodes and skip an unchanged storage stage;
+        #: setting False re-prices everything on every resolve (the
+        #: from-scratch reference path, used by the equivalence tests)
         self.incremental = incremental
         self.stats = SimStats()
         self.flow_solver = (
@@ -118,7 +120,6 @@ class ClusterRateModel(RateModel):
         self._remote_rates: dict[str, dict[str, float]] = {}
         #: stage caches reused across resolves (incremental mode)
         self._node_cache: dict[str, _NodeSolve] = {}
-        self._net_cache: _StageSolve | None = None
         self._io_cache: _StageSolve | None = None
 
     def attach_stats(self, stats: SimStats) -> None:
@@ -150,7 +151,6 @@ class ClusterRateModel(RateModel):
         if dirty is None:
             # Full resolve: forget everything so no stale stage survives.
             self._node_cache.clear()
-            self._net_cache = None
             self._io_cache = None
         self._proc_rates = {p.pid: {} for p in running}
         self._remote_rates = defaultdict(lambda: defaultdict(float))
@@ -384,17 +384,6 @@ class ClusterRateModel(RateModel):
 
     # -- stage 2: network -----------------------------------------------------
 
-    def _apply_stage(self, stage: _StageSolve, speeds: dict[int, float]) -> None:
-        """Fold a (fresh or cached) stage outcome into speeds and rates."""
-        for pid, ratio in stage.ratios.items():
-            speeds[pid] *= ratio
-        for pid, rates in stage.rates.items():
-            self._proc_rates[pid].update(rates)
-        for node_name, rates in stage.remote.items():
-            remote = self._remote_rates[node_name]
-            for counter, rate in rates.items():
-                remote[counter] += rate
-
     def _solve_network(
         self, running: Sequence[SimProcess], speeds: dict[int, float]
     ) -> None:
@@ -415,12 +404,11 @@ class ClusterRateModel(RateModel):
                 owners.append((proc, demand))
                 key += 1
         if not requests:
-            self._net_cache = None
             return
         # Fault-induced link degradation scales the *granted* ratio, not
         # the demand: scaling demand to zero would hit the ``demand <= 0``
-        # branch below and wrongly grant full speed.  The factors join the
-        # signature so a link_down apply/revert invalidates the stage memo.
+        # branch below and wrongly grant full speed.  Applying it after
+        # the solve also keeps it out of the flow solver's memo key.
         faults = self.cluster.faults
         if faults is not None and faults.active:
             nic_factors = [
@@ -429,53 +417,58 @@ class ClusterRateModel(RateModel):
             ]
         else:
             nic_factors = [1.0] * len(requests)
-        signature = tuple(
-            (proc.pid, req.src, req.dst, req.demand, nic)
-            for req, (proc, _), nic in zip(requests, owners, nic_factors)
-        )
-        if self._net_cache is not None and self._net_cache.signature == signature:
-            # Identical flow demand set: the previous allocation stands.
-            self.stats.count("network_stage_skips")
-            self._apply_stage(self._net_cache, speeds)
-            return
         self.stats.count("network_stage_solves")
         result = self.flow_solver.solve(requests)
         worst_ratio: dict[int, float] = {}
-        tx_rates: dict[int, dict[str, float]] = {}
-        remote: dict[str, dict[str, float]] = {}
         for request, (proc, demand), nic in zip(requests, owners, nic_factors):
             grant = result.grants[request.key] * nic
             ratio = nic if demand <= 0 else min(1.0, grant / demand)
             worst_ratio[proc.pid] = min(worst_ratio.get(proc.pid, 1.0), ratio)
-            rates = tx_rates.setdefault(proc.pid, {"nic_tx_bytes": 0.0})
-            rates["nic_tx_bytes"] += grant
-            remote.setdefault(request.dst, {"nic_rx_bytes": 0.0})[
-                "nic_rx_bytes"
-            ] += grant
-        # tx accounting already reflects granted (not demanded) rates
-        self._net_cache = _StageSolve(
-            signature=signature, ratios=worst_ratio, rates=tx_rates, remote=remote
-        )
-        self._apply_stage(self._net_cache, speeds)
+            # tx accounting reflects granted (not demanded) rates
+            rates = self._proc_rates[proc.pid]
+            rates["nic_tx_bytes"] = rates.get("nic_tx_bytes", 0.0) + grant
+            self._remote_rates[request.dst]["nic_rx_bytes"] += grant
+        for pid, ratio in worst_ratio.items():
+            speeds[pid] *= ratio
 
     # -- stage 3: storage -----------------------------------------------------
 
     def _solve_storage(
         self, running: Sequence[SimProcess], speeds: dict[int, float]
     ) -> None:
+        stage = self._storage_stage(
+            (proc, speeds[proc.pid])
+            for proc in running
+            if proc.current is not None and proc.current.io is not None
+        )
+        if stage is None:
+            return
+        for pid, ratio in stage.ratios.items():
+            speeds[pid] *= ratio
+        for pid, rates in stage.rates.items():
+            self._proc_rates[pid].update(rates)
+
+    def _storage_stage(
+        self, demands: Iterable[tuple[SimProcess, float]]
+    ) -> _StageSolve | None:
+        """Price filesystem demand: the storage stage of both backends.
+
+        ``demands`` holds ``(proc, speed)`` for every process with I/O
+        demand, in running order.  Returns the previous resolve's stage
+        when the scaled demand signature is unchanged, a fresh solve
+        otherwise, or None when nothing does I/O.  Each backend folds the
+        ratios and rates into its own speed/rate state.
+        """
         by_fs: dict[str, list[tuple[SimProcess, IODemand]]] = defaultdict(list)
-        for proc in running:
-            seg = proc.current
-            if seg is not None and seg.io is not None:
-                io = seg.io
-                s = speeds[proc.pid]
-                scaled = type(io)(
-                    fs=io.fs,
-                    write_bw=io.write_bw * s,
-                    read_bw=io.read_bw * s,
-                    meta_ops=io.meta_ops * s,
-                )
-                by_fs[io.fs].append((proc, scaled))
+        for proc, speed in demands:
+            io = proc.current.io
+            scaled = type(io)(
+                fs=io.fs,
+                write_bw=io.write_bw * speed,
+                read_bw=io.read_bw * speed,
+                meta_ops=io.meta_ops * speed,
+            )
+            by_fs[io.fs].append((proc, scaled))
         obs = self.cluster.sim.obs
         if obs is not None:
             # Maintain one "busy" span per filesystem covering the stretch
@@ -490,7 +483,7 @@ class ClusterRateModel(RateModel):
                 )
         if not by_fs:
             self._io_cache = None
-            return
+            return None
         # Filesystem health (failed OSTs, metadata brownout) joins the
         # signature so degradation events invalidate the stage memo even
         # when the demand set itself is unchanged.
@@ -508,8 +501,7 @@ class ClusterRateModel(RateModel):
         if self._io_cache is not None and self._io_cache.signature == signature:
             # Identical scaled IO demand set: previous grants stand.
             self.stats.count("storage_stage_skips")
-            self._apply_stage(self._io_cache, speeds)
-            return
+            return self._io_cache
         self.stats.count("storage_stage_solves")
         ratios: dict[int, float] = {}
         io_rates: dict[int, dict[str, float]] = {}
@@ -525,7 +517,7 @@ class ClusterRateModel(RateModel):
                     "io_meta_ops": grant.meta_ops,
                 }
         self._io_cache = _StageSolve(signature=signature, ratios=ratios, rates=io_rates)
-        self._apply_stage(self._io_cache, speeds)
+        return self._io_cache
 
     # -- finalize --------------------------------------------------------------
 
@@ -589,17 +581,6 @@ class _ArrayNodeSolve:
     whether those rows are still valid."""
 
     pids: tuple[int, ...]
-
-
-@dataclass
-class _ArrayStage:
-    """Cached network-stage outcome in array form (rows into the model)."""
-
-    signature: tuple
-    rows: np.ndarray
-    ratios: np.ndarray
-    tx: np.ndarray
-    remote: dict[str, float]
 
 
 class _RunGroup:
@@ -700,12 +681,13 @@ class ArrayRateModel(ClusterRateModel):
       node's solve is a pure function of (spec, per-tenant ``(core,
       segment demand)``), and synchronized ranks cycle a handful of
       identical configurations;
-    * the network stage's memo signature is an array fingerprint — the
-      structural (pid, src, dst) tuple plus ``demands.tobytes()`` — used
-      three deep: an unchanged signature reuses the previous allocation
-      outright, a recurring one replays a cached stage from
-      ``_net_memo``, and only novel signatures reach
-      :meth:`FlowSolver.solve` (whose own memo is keyed the same way).
+    * the network stage hands :meth:`FlowSolver.solve` an array
+      fingerprint as its memo signature — the interned (src, dst)
+      structure token plus ``demands.tobytes()`` — so recurring traffic
+      hits the solver's memo without building a per-flow float tuple;
+      grants are folded into the rows on every resolve;
+    * the storage stage is the shared :meth:`ClusterRateModel._storage_stage`,
+      applied to rows instead of dicts.
 
     Exactness rules used throughout (see docs/PERFORMANCE.md): elementwise
     numpy ops are IEEE-identical to the scalar ops they replace;
@@ -720,8 +702,6 @@ class ArrayRateModel(ClusterRateModel):
     #: the thousands on long contended runs; entries are four small
     #: arrays, so a deep memo is cheap.
     STAGE1_MEMO_SIZE = 4096
-    #: distinct network-stage signatures kept
-    NET_MEMO_SIZE = 256
     #: distinct running-set configurations whose grouping is kept
     GROUP_CACHE_SIZE = 256
 
@@ -784,21 +764,17 @@ class ArrayRateModel(ClusterRateModel):
         #: segment-key interning table: memo keys carry small ints instead
         #: of nested float tuples, so hashing them is integer work
         self._seg_intern: dict[tuple, int] = {}
-        self._net_cache: _ArrayStage | None = None
-        #: network-stage memo (signature → folded stage outcome)
-        self._net_memo: dict[tuple, _ArrayStage] = {}
         # flow-structure cache: rebuilt only when the set of flow-bearing
         # rows (or any of their segments) changes
         self._flow_rows_key: tuple | None = None
         self._flow_rows_arr = np.zeros(0, dtype=np.int64)
         self._flow_rates_arr = np.zeros(0)
-        self._flow_struct: tuple = ()
         self._flow_token = -1
-        #: flow-structure interning table (structure tuple → token); the
+        #: flow-structure interning table ((src, dst) tuple → token); the
         #: per-resolve network signature carries the token so hashing it
         #: does not re-walk the structure tuple
         self._struct_intern: dict[tuple, int] = {}
-        self._flow_pairs: list[tuple[str, str]] = []
+        self._flow_pairs: tuple[tuple[str, str], ...] = ()
         self._flow_ones = np.zeros(0)
         self._flows_dirty = False
         self._remote: dict[str, float] = {}
@@ -904,10 +880,8 @@ class ArrayRateModel(ClusterRateModel):
             # The stage-1 memo goes too — a forced full resolve signals
             # that model inputs may have changed out-of-band.
             self._node_cache.clear()
-            self._net_cache = None
             self._io_cache = None
             self._stage1_cache.clear()
-            self._net_memo.clear()
         self.stats.count("array_resolves")
         self._remote = {}
 
@@ -1011,7 +985,7 @@ class ArrayRateModel(ClusterRateModel):
                 self._R[drows, _MEM] *= f
 
         self._solve_network_array(rows[self._row_flow_mask[sel]].tolist())
-        self._solve_storage_array(rows[self._row_io_mask[sel]])
+        self._solve_storage_rows(rows[self._row_io_mask[sel]])
         self._acc_rows = rows
         self._acc_sel = sel
         self._acc_node_cells = group.node_cells
@@ -1283,10 +1257,7 @@ class ArrayRateModel(ClusterRateModel):
     # -- stage 2: network ----------------------------------------------------
 
     def _solve_network_array(self, flow_rows: list[int]) -> None:
-        if self.flow_solver is None:
-            return
-        if not flow_rows:
-            self._net_cache = None
+        if self.flow_solver is None or not flow_rows:
             return
         # Rebuild the flow-structure arrays only when the set of
         # flow-bearing rows changed or one of their segments refreshed;
@@ -1295,26 +1266,23 @@ class ArrayRateModel(ClusterRateModel):
         if self._flows_dirty or key != self._flow_rows_key:
             rows_l: list[int] = []
             rates: list[float] = []
-            struct: list[tuple] = []
             pairs: list[tuple[str, str]] = []
             for row in flow_rows:
-                proc = self._row_proc[row]
+                node = self._row_proc[row].node
                 for flow in self._row_flows[row]:
                     rows_l.append(row)
                     rates.append(flow.rate)
-                    struct.append((proc.pid, proc.node, flow.dst))
-                    pairs.append((proc.node, flow.dst))
+                    pairs.append((node, flow.dst))
             self._flow_rows_key = key
             self._flow_rows_arr = np.asarray(rows_l, dtype=np.int64)
             self._flow_rates_arr = np.asarray(rates)
-            struct_t = tuple(struct)
-            self._flow_struct = struct_t
-            token = self._struct_intern.get(struct_t)
+            pairs_t = tuple(pairs)
+            token = self._struct_intern.get(pairs_t)
             if token is None:
                 token = len(self._struct_intern)
-                self._struct_intern[struct_t] = token
+                self._struct_intern[pairs_t] = token
             self._flow_token = token
-            self._flow_pairs = pairs
+            self._flow_pairs = pairs_t
             self._flow_ones = np.ones(len(rows_l))
             self._flows_dirty = False
         demands = self._flow_rates_arr * self._S[self._flow_rows_arr]
@@ -1328,126 +1296,45 @@ class ArrayRateModel(ClusterRateModel):
             )
         else:
             nic = self._flow_ones
-        # Array fingerprint: interned structure token + raw demand/nic
-        # bytes (bytes objects cache their hash, so repeat signatures cost
-        # one int hash plus two cached-byte hashes).  The same key is
-        # handed to the flow solver so its memo (PR 2) is keyed on the
-        # fingerprint rather than a per-flow float tuple.
+        # Array fingerprint: interned (src, dst) structure token + raw
+        # demand/nic bytes (bytes objects cache their hash, so a repeat
+        # signature costs one int hash plus two cached-byte hashes).  It
+        # determines every request's (key, src, dst, demand) — keys are
+        # positions, so pids stay out as in the object backend's key — and
+        # the flow solver's memo is keyed on it instead of a per-flow
+        # float tuple.
         signature = (self._flow_token, nic.tobytes(), demands.tobytes())
-        cache = self._net_cache
-        if cache is not None and cache.signature == signature:
-            self.stats.count("network_stage_skips")
-            self._apply_net_stage(cache)
-            return
-        memo = self._net_memo if self.flow_solver.memoize else None
-        stage = memo.get(signature) if memo is not None else None
-        if stage is not None:
-            self.stats.count("network_memo_hits")
-        else:
-            self.stats.count("network_stage_solves")
-            requests = [
-                FlowRequest(key=k, src=src, dst=dst, demand=float(demand))
-                for k, ((pid, src, dst), demand) in enumerate(
-                    zip(self._flow_struct, demands)
-                )
-            ]
-            result = self.flow_solver.solve(requests, signature=signature)
-            worst: dict[int, float] = {}
-            tx: dict[int, float] = {}
-            remote: dict[str, float] = {}
-            nic_list = nic.tolist()
-            rows_list = self._flow_rows_arr.tolist()
-            for request, row, nic_k in zip(requests, rows_list, nic_list):
-                grant = result.grants[request.key] * nic_k
-                demand = request.demand
-                ratio = nic_k if demand <= 0 else min(1.0, grant / demand)
-                worst[row] = min(worst.get(row, 1.0), ratio)
-                tx[row] = tx.get(row, 0.0) + grant
-                remote[request.dst] = remote.get(request.dst, 0.0) + grant
-            stage = _ArrayStage(
-                signature=signature,
-                rows=np.fromiter(worst, dtype=np.int64, count=len(worst)),
-                ratios=np.fromiter(worst.values(), dtype=float, count=len(worst)),
-                tx=np.fromiter(
-                    (tx[row] for row in worst), dtype=float, count=len(worst)
-                ),
-                remote=remote,
-            )
-            if memo is not None:
-                if len(memo) >= self.NET_MEMO_SIZE:
-                    memo.pop(next(iter(memo)))
-                memo[signature] = stage
-        self._net_cache = stage
-        self._apply_net_stage(stage)
-
-    def _apply_net_stage(self, stage: _ArrayStage) -> None:
-        self._S[stage.rows] *= stage.ratios
-        self._R[stage.rows, _NIC] = stage.tx
-        self._Tmask[stage.rows, _NIC] = True
-        for dst, rate in stage.remote.items():
-            self._remote[dst] = self._remote.get(dst, 0.0) + rate
+        self.stats.count("network_stage_solves")
+        requests = [
+            FlowRequest(key=k, src=src, dst=dst, demand=float(demand))
+            for k, ((src, dst), demand) in enumerate(zip(self._flow_pairs, demands))
+        ]
+        result = self.flow_solver.solve(requests, signature=signature)
+        worst: dict[int, float] = {}
+        tx: dict[int, float] = {}
+        remote = self._remote
+        nic_list = nic.tolist()
+        rows_list = self._flow_rows_arr.tolist()
+        for request, row, nic_k in zip(requests, rows_list, nic_list):
+            grant = result.grants[request.key] * nic_k
+            demand = request.demand
+            ratio = nic_k if demand <= 0 else min(1.0, grant / demand)
+            worst[row] = min(worst.get(row, 1.0), ratio)
+            tx[row] = tx.get(row, 0.0) + grant
+            remote[request.dst] = remote.get(request.dst, 0.0) + grant
+        rows = np.fromiter(worst, dtype=np.int64, count=len(worst))
+        self._S[rows] *= np.fromiter(worst.values(), dtype=float, count=len(worst))
+        self._R[rows, _NIC] = np.fromiter(tx.values(), dtype=float, count=len(tx))
+        self._Tmask[rows, _NIC] = True
 
     # -- stage 3: storage ----------------------------------------------------
 
-    def _solve_storage_array(self, io_rows: np.ndarray) -> None:
-        by_fs: dict[str, list[tuple[SimProcess, IODemand]]] = defaultdict(list)
-        for row in io_rows.tolist():
-            proc = self._row_proc[row]
-            io = proc.current.io
-            speed = float(self._S[row])
-            scaled = type(io)(
-                fs=io.fs,
-                write_bw=io.write_bw * speed,
-                read_bw=io.read_bw * speed,
-                meta_ops=io.meta_ops * speed,
-            )
-            by_fs[io.fs].append((proc, scaled))
-        obs = self.cluster.sim.obs
-        if obs is not None:
-            for fs_name in self.cluster.filesystems:
-                obs.window(
-                    ("io", fs_name),
-                    "storage",
-                    f"busy:{fs_name}",
-                    ("storage", fs_name),
-                    active=fs_name in by_fs,
-                )
-        if not by_fs:
-            self._io_cache = None
-            return
-        signature = (
-            tuple(
-                (p.pid, p.node, fs_name, io.write_bw, io.read_bw, io.meta_ops)
-                for fs_name, pairs in by_fs.items()
-                for p, io in pairs
-            ),
-            tuple(
-                (fs_name, self.cluster.filesystem(fs_name).health_revision)
-                for fs_name in sorted(by_fs)
-            ),
+    def _solve_storage_rows(self, io_rows: np.ndarray) -> None:
+        stage = self._storage_stage(
+            (self._row_proc[row], float(self._S[row])) for row in io_rows.tolist()
         )
-        if self._io_cache is not None and self._io_cache.signature == signature:
-            self.stats.count("storage_stage_skips")
-            self._apply_io_stage(self._io_cache)
+        if stage is None:
             return
-        self.stats.count("storage_stage_solves")
-        ratios: dict[int, float] = {}
-        io_rates: dict[int, dict[str, float]] = {}
-        for fs_name, pairs in by_fs.items():
-            fs = self.cluster.filesystem(fs_name)
-            grants = fs.solve([(p.pid, p.node, io) for p, io in pairs])
-            for p, _ in pairs:
-                grant = grants[p.pid]
-                ratios[p.pid] = min(1.0, grant.ratio)
-                io_rates[p.pid] = {
-                    "io_write_bytes": grant.write_bw,
-                    "io_read_bytes": grant.read_bw,
-                    "io_meta_ops": grant.meta_ops,
-                }
-        self._io_cache = _StageSolve(signature=signature, ratios=ratios, rates=io_rates)
-        self._apply_io_stage(self._io_cache)
-
-    def _apply_io_stage(self, stage: _StageSolve) -> None:
         for pid, ratio in stage.ratios.items():
             self._S[self._pid_row[pid]] *= ratio
         for pid, rates in stage.rates.items():

@@ -88,7 +88,6 @@ class FlowSolver:
         k_paths: int = 4,
         rebalance_rounds: int = 4,
         latency_alpha: float = 0.6,
-        warm_start: bool = False,
         memoize: bool = True,
     ) -> None:
         if k_paths < 1:
@@ -105,12 +104,6 @@ class FlowSolver:
         #: attached invariant checker (see :mod:`repro.check`), or None;
         #: hook sites are guarded so an unchecked solve pays nothing.
         self.check = None
-        #: start the adaptive split from the previous solve's converged
-        #: per-path fractions instead of a uniform split.  Off by default:
-        #: warm starting changes the (equally valid) allocation reached
-        #: after ``rebalance_rounds``, so results are no longer bit-equal
-        #: to a cold solve — see docs/PERFORMANCE.md before enabling.
-        self.warm_start = warm_start
         #: counter block; the cluster rate model swaps in the engine's
         self.stats = SimStats()
         #: strength of the congestion-latency degradation: traffic from
@@ -127,8 +120,6 @@ class FlowSolver:
         self._cap_cache: dict[Edge, float] = {}
         #: memo of full solves keyed by the canonical request signature
         self._solve_cache: dict[tuple, FlowResult] = {}
-        #: per-(src, dst) converged split fractions from the last solve
-        self._warm_splits: dict[tuple[str, str], tuple[float, ...]] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -174,10 +165,10 @@ class FlowSolver:
         per_flow_subflows: list[list[_SubFlow]] = []
         for idx, flow in enumerate(flows):
             paths = self._paths(flow.src, flow.dst)
-            split = self._initial_split(flow, len(paths))
+            # Start from a uniform split; re-balancing shifts it.
+            share = flow.demand / len(paths)
             flow_subs = [
-                _SubFlow(flow_index=idx, edges=path, demand=d)
-                for path, d in zip(paths, split)
+                _SubFlow(flow_index=idx, edges=path, demand=share) for path in paths
             ]
             per_flow_subflows.append(flow_subs)
             subflows.extend(flow_subs)
@@ -187,13 +178,6 @@ class FlowSolver:
             self._rebalance(flows, per_flow_subflows, loads)
         if self.check is not None:
             self.check.on_flow_split(flows, per_flow_subflows)
-
-        if self.warm_start:
-            for flow, subs in zip(flows, per_flow_subflows):
-                if flow.demand > 0:
-                    self._warm_splits[(flow.src, flow.dst)] = tuple(
-                        sub.demand / flow.demand for sub in subs
-                    )
 
         # Pass 1: capacity sharing with the raw demands.
         self._max_min(subflows)
@@ -235,22 +219,6 @@ class FlowSolver:
         return result
 
     # -- internals ----------------------------------------------------------
-
-    def _initial_split(self, flow: FlowRequest, n_paths: int) -> list[float]:
-        """Starting per-path demands: uniform, or the last converged split.
-
-        Warm starts apply on *signature-adjacent* solves — a previous
-        solve routed the same (src, dst) pair over the same path set — and
-        give the re-balancer a head start toward its fixed point.
-        """
-        if self.warm_start:
-            # warm_start is opt-in and documented as trading bit-equality for
-            # convergence speed (docs/PERFORMANCE.md), so the split history
-            # legitimately lives outside the memo key:
-            fractions = self._warm_splits.get((flow.src, flow.dst))  # repro-lint: disable=RL013
-            if fractions is not None and len(fractions) == n_paths:
-                return [flow.demand * fraction for fraction in fractions]
-        return [flow.demand / n_paths] * n_paths
 
     def _capacity(self, edge: Edge) -> float:
         # A pure memo over the immutable topology, like _path_cache.

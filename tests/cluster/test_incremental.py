@@ -1,10 +1,11 @@
 """Incremental resolution must be invisible: same numbers, less work.
 
 The scenario mixes every contended subsystem — CPU time-sharing, memory
-bandwidth, network flows and a shared filesystem — and asserts that the
-incremental resolver (node-solve reuse, stage-signature skips, flow-solve
-memoization) produces *exactly* the results of from-scratch resolution,
-while its reuse counters prove it actually avoided work.
+bandwidth, network flows and a shared filesystem — and asserts, on both
+rate-model backends, that the incremental resolver (node-solve reuse,
+flow-solve memoization, the storage-stage signature skip) produces
+*exactly* the results of from-scratch resolution, while its reuse
+counters prove it actually avoided work.
 """
 
 import pytest
@@ -16,9 +17,12 @@ from repro.monitoring import MetricService
 from repro.units import MB10
 
 
-def _run_mixed_scenario(incremental: bool):
+BACKENDS = ("object", "array")
+
+
+def _run_mixed_scenario(incremental: bool, backend: str):
     """CPU + membw + network + storage contention on a Chameleon cluster."""
-    cluster = Cluster.chameleon(num_nodes=6)
+    cluster = Cluster.chameleon(num_nodes=6, backend=backend)
     cluster.model.incremental = incremental
     service = MetricService(cluster)
     service.attach(end=100_000)
@@ -52,64 +56,70 @@ def _run_mixed_scenario(incremental: bool):
 
 @pytest.fixture(scope="module")
 def runs():
-    full, _ = _run_mixed_scenario(incremental=False)
-    incr, stats = _run_mixed_scenario(incremental=True)
-    return full, incr, stats
+    """``backend -> (full, incremental, incremental stats)``."""
+    out = {}
+    for backend in BACKENDS:
+        full, _ = _run_mixed_scenario(incremental=False, backend=backend)
+        incr, stats = _run_mixed_scenario(incremental=True, backend=backend)
+        out[backend] = (full, incr, stats)
+    return out
 
 
 class TestEquivalence:
+    @staticmethod
+    def _identical(runs, field):
+        for backend, (full, incr, _) in runs.items():
+            assert incr[field] == full[field], f"{field} differs on {backend}"
+
     def test_app_runtime_identical(self, runs):
-        full, incr, _ = runs
-        assert incr["app_runtime"] == full["app_runtime"]
+        self._identical(runs, "app_runtime")
 
     def test_ior_bandwidths_identical(self, runs):
-        full, incr, _ = runs
-        assert incr["ior"] == full["ior"]
+        self._identical(runs, "ior")
 
     def test_process_end_times_identical(self, runs):
-        full, incr, _ = runs
-        assert incr["end_times"] == full["end_times"]
+        self._identical(runs, "end_times")
 
     def test_usage_counters_identical(self, runs):
-        full, incr, _ = runs
-        assert incr["counters"] == full["counters"]
+        self._identical(runs, "counters")
 
     def test_monitoring_series_byte_identical(self, runs):
-        full, incr, _ = runs
-        assert incr["node0_series"] == full["node0_series"]
+        self._identical(runs, "node0_series")
 
 
 class TestWorkAvoidance:
+    @staticmethod
+    def _counted(runs, counter):
+        for backend, (_, _, stats) in runs.items():
+            assert stats.get(counter, 0) > 0, f"{counter} == 0 on {backend}"
+
     def test_nodes_were_reused(self, runs):
-        _, _, stats = runs
-        assert stats["nodes_reused"] > 0
-        assert stats["nodes_solved"] > 0
+        self._counted(runs, "nodes_reused")
+        self._counted(runs, "nodes_solved")
 
     def test_flow_solves_were_memoized(self, runs):
-        _, _, stats = runs
-        # The object backend memoizes inside FlowSolver.solve
-        # (flow_memo_hits); the array backend's network-stage memo
-        # absorbs recurring signatures before the solver is reached
-        # (network_memo_hits).  Either way, repeat traffic must hit.
-        hits = stats.get("flow_memo_hits", 0) + stats.get("network_memo_hits", 0)
-        assert hits > 0
+        # FlowSolver's memo is the only network reuse layer: repeat
+        # traffic must hit it on either backend.
+        self._counted(runs, "flow_memo_hits")
 
     def test_reschedules_were_skipped(self, runs):
-        _, _, stats = runs
-        assert stats["reschedules_skipped"] > 0
+        self._counted(runs, "reschedules_skipped")
 
     def test_storage_stage_was_skipped_sometimes(self, runs):
-        _, _, stats = runs
-        assert stats.get("storage_stage_skips", 0) > 0
+        self._counted(runs, "storage_stage_skips")
 
     def test_network_stage_skipped_for_disjoint_changes(self):
-        # A CPU-only change on node6 leaves the flow signature untouched,
-        # so the network stage is replayed from cache, not re-solved.
-        cluster = Cluster.voltrino(num_nodes=8)
-        NetOccupy.launch_pair(cluster, src="node0", dst="node4", ranks=2)
-        CpuOccupy(utilization=70, duration=50).launch(cluster, "node6", core=0)
-        cluster.sim.run(until=100)
-        assert cluster.sim.stats.counters["network_stage_skips"] > 0
+        # A CPU-only change on node6 leaves the flow demand set untouched,
+        # so the network stage is served from the flow memo: the stream
+        # solves once, and the CpuOccupy end re-prices it with one hit.
+        for backend in BACKENDS:
+            cluster = Cluster.voltrino(num_nodes=8, backend=backend)
+            NetOccupy.launch_pair(cluster, src="node0", dst="node4", ranks=2)
+            CpuOccupy(utilization=70, duration=50).launch(cluster, "node6", core=0)
+            cluster.sim.run(until=100)
+            counters = cluster.sim.stats.counters
+            assert counters["flow_solves"] == 1, backend
+            assert counters["flow_memo_hits"] == 1, backend
 
 
 class TestForcedFullResolve:
