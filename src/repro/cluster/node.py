@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.cluster.specs import MachineSpec
 from repro.errors import ConfigError
 from repro.memory.capacity import MemoryLedger
@@ -45,8 +47,10 @@ class Node:
             "io_read_bytes": 0.0,
             "io_meta_ops": 0.0,
         }
-        for core in range(spec.logical_cores):
-            self.counters[f"cpu_core{core}_seconds"] = 0.0
+        #: counter name of each logical core's busy time, by core index
+        self.core_keys = _core_keys(spec.logical_cores)
+        for key in self.core_keys.values():
+            self.counters[key] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name} ({self.spec.name})>"
@@ -57,3 +61,10 @@ class Node:
     @property
     def logical_cores(self) -> int:
         return self.spec.logical_cores
+
+
+@lru_cache(maxsize=None)
+def _core_keys(logical_cores: int) -> dict[int, str]:
+    """``{core: "cpu_core{core}_seconds"}``, one read-only table (and one
+    set of key strings) shared by every node of that width."""
+    return {core: f"cpu_core{core}_seconds" for core in range(logical_cores)}

@@ -6,6 +6,14 @@
    socket), processor sharing with an SMT penalty, and per-socket memory
    bandwidth.  The output is a provisional speed per process plus its
    observable rates (instructions/s, L2/L3 misses/s, memory bytes/s).
+   On this (object) backend it is one plain-float pass over the tenants,
+   with the topology read from the spec's per-core table
+   (:attr:`~repro.cluster.specs.MachineSpec.core_table`).  The general
+   solvers only run where they can change something: a cache domain
+   whose footprints fit evicts exactly nothing, and a socket whose
+   degraded demands provably fit under max-min gets them as grants
+   (:func:`_fits`); everything else goes through ``solve_occupancy`` /
+   ``solve_bandwidth`` unchanged.
 2. **Network** — every active flow, scaled by its owner's provisional
    speed, enters the adaptive-routing max-min solver; communication-bound
    processes slow down by their worst flow's grant ratio.
@@ -13,8 +21,9 @@
    :class:`~repro.storage.filesystem.SharedFilesystem`'s coupled pools.
 
 ``accrue`` integrates the rates computed by the last ``resolve`` into
-per-process and per-node counters, which is what the LDMS-style samplers
-read at 1 Hz.
+per-process and per-node counters (plain dict updates, per process and
+key in a fixed order), which is what the LDMS-style samplers read at
+1 Hz.
 
 Resolves are *incremental*, with one reuse layer per stage (see
 docs/PERFORMANCE.md): the engine passes the set of pids whose segment
@@ -28,6 +37,7 @@ previous resolve.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -36,10 +46,10 @@ import numpy as np
 
 from repro.cache.model import (
     CacheDemand,
-    cascade_miss_factor,
     inclusive_footprints,
     solve_occupancy,
 )
+from repro.errors import ResourceError
 from repro.memory.bandwidth import ShareFn, solve_bandwidth
 from repro.network.flows import FlowRequest, FlowSolver
 from repro.resources.fairshare import max_min_fair_share, waterfill
@@ -216,23 +226,27 @@ class ClusterRateModel(RateModel):
 
     def accrue(self, running: Sequence[SimProcess], t0: float, t1: float) -> None:
         dt = t1 - t0
+        nodes = self.cluster.nodes
+        proc_rates = self._proc_rates
         for proc in running:
-            rates = self._proc_rates.get(proc.pid)
+            rates = proc_rates.get(proc.pid)
             if not rates:
                 continue
-            node = self.cluster.node(proc.node)
+            node = nodes[proc.node]
+            pc = proc.counters
+            nc = node.counters
             for key, rate in rates.items():
                 amount = rate * dt
-                proc.add_counter(key, amount)
-                node.add_counter(_NODE_COUNTER[key], amount)
-            node.add_counter(
-                f"cpu_core{proc.core}_seconds",
-                rates.get("cpu_user_seconds", 0.0) * dt,
-            )
+                pc[key] = pc.get(key, 0.0) + amount
+                node_key = _NODE_COUNTER[key]
+                nc[node_key] = nc.get(node_key, 0.0) + amount
+            core_key = node.core_keys[proc.core]
+            busy = rates.get("cpu_user_seconds", 0.0) * dt
+            nc[core_key] = nc.get(core_key, 0.0) + busy
         for node_name, rates in self._remote_rates.items():
-            node = self.cluster.node(node_name)
+            nc = nodes[node_name].counters
             for key, rate in rates.items():
-                node.add_counter(key, rate * dt)
+                nc[key] = nc.get(key, 0.0) + rate * dt
 
     def on_process_end(self, proc: SimProcess) -> None:
         self.cluster.node(proc.node).memory.free_all(proc.pid)
@@ -252,86 +266,93 @@ class ClusterRateModel(RateModel):
         procs: list[SimProcess],
         miss_factor: dict[int, float],
     ) -> dict[int, float]:
-        node = self.cluster.node(node_name)
-        spec = node.spec
-        sizes = {lvl: spec.cache.size(lvl) for lvl in CACHE_LEVELS}
+        spec = self.cluster.nodes[node_name].spec
+        cache = spec.cache
+        sizes = {"L1": cache.l1, "L2": cache.l2, "L3": cache.l3}
+        segs = [p.current for p in procs]
+        n = len(procs)
 
-        footprints = {
-            p.pid: inclusive_footprints(p.current.cache_footprint, sizes)
-            for p in procs
-            if p.current is not None
-        }
-        evictions: dict[int, dict[str, float]] = {
-            p.pid: dict.fromkeys(CACHE_LEVELS, 0.0) for p in procs
-        }
+        # Per tenant: inclusive footprints and topology; tenant indices
+        # grouped per physical core (L1/L2 domain) and socket (L3 domain).
+        fps: list[tuple[float, float, float]] = []
+        siblings: list[int | None] = []
+        core_groups: dict[int, list[int]] = {}
+        socket_groups: dict[int, list[int]] = {}
+        core_demand: dict[int, float] = {}
+        for i, (p, seg) in enumerate(zip(procs, segs)):
+            fp = inclusive_footprints(seg.cache_footprint, sizes)
+            f1, f2, f3 = fp["L1"], fp["L2"], fp["L3"]
+            # what CacheDemand checks, also for domains that fit
+            if f1 < 0 or f2 < 0 or f3 < 0 or seg.cache_intensity < 0:
+                raise ResourceError("cache footprint and intensity must be >= 0")
+            fps.append((f1, f2, f3))
+            phys, sibling, sock = spec.core_entry(p.core)
+            siblings.append(sibling)
+            core_groups.setdefault(phys, []).append(i)
+            socket_groups.setdefault(sock, []).append(i)
+            core_demand[p.core] = core_demand.get(p.core, 0.0) + seg.cpu
 
-        # Private levels (L1, L2): contested among hyperthread siblings.
-        for level in ("L1", "L2"):
-            groups: dict[int, list[SimProcess]] = defaultdict(list)
-            for p in procs:
-                groups[spec.physical_core_of(p.core)].append(p)
-            for tenants in groups.values():
+        # Cache occupancy: L1/L2 contested among hyperthread siblings, L3
+        # socket-wide.  A domain whose positive footprints fit (summed in
+        # solve_occupancy's own order) evicts exactly nothing; only an
+        # overflowing one needs the weighted-fill solver.
+        evictions = [[0.0, 0.0, 0.0] for _ in range(n)]
+        for level, capacity, groups in (
+            (0, cache.l1, core_groups),
+            (1, cache.l2, core_groups),
+            (2, cache.l3, socket_groups),
+        ):
+            for members in groups.values():
+                footprint = sum([fps[i][level] for i in members if fps[i][level] > 0])
+                if footprint <= capacity:
+                    continue
                 res = solve_occupancy(
-                    sizes[level],
+                    capacity,
                     [
                         CacheDemand(
-                            p.pid, footprints[p.pid][level], p.current.cache_intensity
+                            procs[i].pid, fps[i][level], segs[i].cache_intensity
                         )
-                        for p in tenants
+                        for i in members
                     ],
                     sharpness=self.cache_sharpness,
                 )
-                for p in tenants:
-                    evictions[p.pid][level] = res[p.pid].eviction
+                for i in members:
+                    evictions[i][level] = res[procs[i].pid].eviction
 
-        # Shared level (L3): contested socket-wide.
-        socket_groups: dict[int, list[SimProcess]] = defaultdict(list)
-        for p in procs:
-            socket_groups[spec.socket_of(p.core)].append(p)
-        for tenants in socket_groups.values():
-            res = solve_occupancy(
-                sizes["L3"],
-                [
-                    CacheDemand(
-                        p.pid, footprints[p.pid]["L3"], p.current.cache_intensity
-                    )
-                    for p in tenants
-                ],
-                sharpness=self.cache_sharpness,
-            )
-            for p in tenants:
-                evictions[p.pid]["L3"] = res[p.pid].eviction
-
-        for p in procs:
-            miss_factor[p.pid] = cascade_miss_factor(
-                evictions[p.pid], spec.cache_miss_cascade
-            )
-
-        # CPU: processor sharing per logical core, SMT capacity coupling.
-        core_demand: dict[int, float] = defaultdict(float)
-        for p in procs:
-            core_demand[p.core] += p.current.cpu
-        compute_speed: dict[int, float] = {}
-        cpu_grant: dict[int, float] = {}
-        for p in procs:
-            seg = p.current
-            sibling = spec.sibling_of(p.core)
+        # Miss cascade (cascade_miss_factor: the dominant level counts
+        # fully, the other two at 30%), then CPU: processor sharing per
+        # logical core with SMT capacity coupling.
+        c1, c2, c3 = spec.cache_miss_cascade
+        smt_loss = 1.0 - spec.smt_throughput / 2.0
+        mfs: list[float] = []
+        compute_speed: list[float] = []
+        cpu_grant: list[float] = []
+        for i, (p, seg) in enumerate(zip(procs, segs)):
+            e1, e2, e3 = evictions[i]
+            a, b, c = c1 * e1, c2 * e2, c3 * e3
+            if a >= b and a >= c:
+                mf = min(1.0, a + 0.3 * (b + c))
+            elif b >= c:
+                mf = min(1.0, b + 0.3 * (a + c))
+            else:
+                mf = min(1.0, c + 0.3 * (a + b))
+            miss_factor[p.pid] = mf
+            mfs.append(mf)
+            sibling = siblings[i]
             sibling_util = (
                 min(1.0, core_demand.get(sibling, 0.0)) if sibling is not None else 0.0
             )
-            capacity = 1.0 - (1.0 - spec.smt_throughput / 2.0) * sibling_util
-            total = core_demand[p.core]
+            capacity = 1.0 - smt_loss * sibling_util
             if seg.cpu > 0:
                 # Time share is what /proc/stat sees (a busy hyperthread is
                 # 100% "utilised"); the SMT capacity factor degrades the
                 # *throughput* extracted during that time.
-                time_share = seg.cpu * min(1.0, 1.0 / total)
+                time_share = seg.cpu * min(1.0, 1.0 / core_demand[p.core])
                 cpu_ratio = (time_share / seg.cpu) * capacity
             else:
                 time_share, cpu_ratio = 0.0, 1.0
-            cpu_grant[p.pid] = time_share
-            cpi = 1.0 + seg.miss_cpi_penalty * miss_factor[p.pid]
-            compute_speed[p.pid] = cpu_ratio / cpi
+            cpu_grant.append(time_share)
+            compute_speed.append(cpu_ratio / (1.0 + seg.miss_cpi_penalty * mf))
 
         # Memory bandwidth per socket, then the roofline composition:
         # a segment's nominal time splits into an overlapped compute part
@@ -340,46 +361,53 @@ class ClusterRateModel(RateModel):
         # achieved speed is the roofline max of both parts — so a fully
         # memory-bound STREAM does not care about losing CPU share, and a
         # compute-bound kernel does not care about bandwidth loss.
-        mem_ratio: dict[int, float] = {}
-        phi0: dict[int, float] = {}  # memory-time fraction at base traffic
-        phi: dict[int, float] = {}  # inflated by eviction refetches
-        for tenants in socket_groups.values():
-            wants = []
-            for p in tenants:
-                seg = p.current
-                want = seg.mem_bw + seg.mem_bw_extra * miss_factor[p.pid]
-                wants.append(min(want, spec.core_mem_bw))  # single-core limit
-            grants = solve_bandwidth(
-                spec.mem_bw_per_socket,
-                wants,
-                alpha=spec.bw_latency_alpha,
-                share_fn=self.share_fn,
-            )
-            for p, want, grant in zip(tenants, wants, grants):
-                mem_ratio[p.pid] = 1.0 if want <= 0 else min(1.0, grant / want)
-                phi[p.pid] = want / spec.core_mem_bw
-                phi0[p.pid] = (
-                    min(p.current.mem_bw, spec.core_mem_bw) / spec.core_mem_bw
+        core_bw = spec.core_mem_bw
+        socket_bw = spec.mem_bw_per_socket
+        alpha = spec.bw_latency_alpha
+        maxmin = self.share_fn is max_min_fair_share
+        mem_ratio = [1.0] * n
+        phi0 = [0.0] * n  # memory-time fraction at base traffic
+        phi = [0.0] * n  # inflated by eviction refetches
+        for members in socket_groups.values():
+            wants = [  # capped at the single-core limit
+                min(segs[i].mem_bw + segs[i].mem_bw_extra * mfs[i], core_bw)
+                for i in members
+            ]
+            grants: list[float] | None = None
+            if maxmin:
+                # solve_bandwidth's latency degradation; when the degraded
+                # demands provably fit (see _fits) max-min grants them as is
+                total = float(sum(wants))
+                degraded = [
+                    w / (1.0 + alpha * (max(0.0, (total - w)) / socket_bw))
+                    for w in wants
+                ]
+                if _fits(degraded, socket_bw):
+                    grants = degraded
+            if grants is None:
+                grants = solve_bandwidth(
+                    socket_bw, wants, alpha=alpha, share_fn=self.share_fn
                 )
+            for i, want, grant in zip(members, wants, grants):
+                mem_ratio[i] = 1.0 if want <= 0 else min(1.0, grant / want)
+                phi[i] = want / core_bw
+                phi0[i] = min(segs[i].mem_bw, core_bw) / core_bw
 
         speeds: dict[int, float] = {}
-        for p in procs:
-            f0 = phi0[p.pid]
-            f = phi[p.pid]
+        for i, p in enumerate(procs):
+            f0 = phi0[i]
+            f = phi[i]
             # Roofline with eviction-inflated memory traffic: the nominal
             # iteration overlaps a compute part (1 - f0) and a memory part
             # (f0); contention stretches compute by 1/compute_speed and
             # memory to f / mem_ratio (extra refetch bytes AND reduced
             # bandwidth).  The achieved speed is baseline over the new max.
             baseline = max(1.0 - f0, f0)
-            slowdown = (
-                max((1.0 - f0) / compute_speed[p.pid], f / mem_ratio[p.pid]) / baseline
-            )
-            speeds[p.pid] = 1.0 / slowdown
-            self._proc_rates[p.pid]["cpu_user_seconds"] = cpu_grant[p.pid]
-            self._proc_rates[p.pid]["mem_bytes"] = (
-                f * spec.core_mem_bw * speeds[p.pid]
-            )
+            slowdown = max((1.0 - f0) / compute_speed[i], f / mem_ratio[i]) / baseline
+            speed = 1.0 / slowdown
+            speeds[p.pid] = speed
+            self._proc_rates[p.pid]["cpu_user_seconds"] = cpu_grant[i]
+            self._proc_rates[p.pid]["mem_bytes"] = f * core_bw * speed
         return speeds
 
     # -- stage 2: network -----------------------------------------------------
@@ -527,13 +555,15 @@ class ClusterRateModel(RateModel):
         speeds: dict[int, float],
         miss_factor: dict[int, float],
     ) -> None:
+        nodes = self.cluster.nodes
+        l2_factor = self.L2_MISS_FACTOR
         for proc in running:
             seg = proc.current
             if seg is None:
                 continue
             rates = self._proc_rates[proc.pid]
             speed = speeds.get(proc.pid, 0.0)
-            amp = self.cluster.node(proc.node).spec.miss_amplification
+            amp = nodes[proc.node].spec.miss_amplification
             ips = seg.ips * speed
             mpki = amp * (
                 seg.mpki_base + seg.mpki_extra * miss_factor.get(proc.pid, 0.0)
@@ -546,9 +576,34 @@ class ClusterRateModel(RateModel):
             # prefetching) — the latter is what makes L2_RQSTS:MISS the
             # paper's memory-intensiveness indicator (Table 2).
             rates["l2_misses"] = max(
-                self.L2_MISS_FACTOR * mpki * ips / 1000.0,
+                l2_factor * mpki * ips / 1000.0,
                 rates.get("mem_bytes", 0.0) / 256.0,
             )
+
+
+#: binary64 machine epsilon (2**-52); see _fits
+_EPS = 2.0**-52
+
+
+def _fits(demands: list[float], capacity: float) -> bool:
+    """True when ``max_min_fair_share(capacity, demands)`` would grant
+    every demand unchanged, i.e. when numpy's ``sum(demands) <= capacity``.
+
+    numpy reduces pairwise, not in sequence, so the sequential sum here
+    can differ from its total in the last bits either way.  Any summation
+    order of ``n`` non-negative terms lands within ``(n - 1) * 2**-53``
+    relative of the exact sum, so inflating the sequential sum by ``(4n +
+    4) * 2**-52`` (well over the ``~(2n - 1) * 2**-53`` two such errors
+    add up to) makes the test conservative: when it accepts, numpy's total
+    fits too.  Negative, NaN and infinite demands never pass, so the
+    solver's own validation still raises for them.
+    """
+    total = sum(demands)
+    return (
+        min(demands) >= 0.0
+        and total < math.inf
+        and total * (1.0 + (4 * len(demands) + 4) * _EPS) <= capacity
+    )
 
 
 #: mapping from per-process counter names to node counter names

@@ -17,6 +17,7 @@ values visible in the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.units import GB, GB10, KB, MB
@@ -44,6 +45,10 @@ class CacheSpec:
             return {"L1": self.l1, "L2": self.l2, "L3": self.l3}[level]
         except KeyError:
             raise ConfigError(f"unknown cache level {level!r}") from None
+
+
+#: core tables by (sockets, cores_per_socket, smt); see MachineSpec.core_table
+_CORE_TABLES: dict[tuple[int, int, int], dict[int, tuple[int, int | None, int]]] = {}
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,42 @@ class MachineSpec:
             return None
         phys = self.physical_core_of(logical_core)
         return phys + self.physical_cores if logical_core < self.physical_cores else phys
+
+    @cached_property
+    def core_table(self) -> dict[int, tuple[int, int | None, int]]:
+        """``{logical core: (physical core, sibling or None, socket)}``.
+
+        Lets the rate model's per-node solve index a table instead of
+        re-deriving the topology per tenant; read it through
+        :meth:`core_entry`, which keeps the range check.  Built once per
+        topology and shared (read-only) by every spec that has it.
+        """
+        shape = (self.sockets, self.cores_per_socket, self.smt)
+        table = _CORE_TABLES.get(shape)
+        if table is None:
+            table = _CORE_TABLES[shape] = {
+                core: (
+                    self.physical_core_of(core),
+                    self.sibling_of(core),
+                    self.socket_of(core),
+                )
+                for core in range(self.logical_cores)
+            }
+        return table
+
+    def core_entry(self, logical_core: int) -> tuple[int, int | None, int]:
+        """``(physical core, sibling or None, socket)`` of a logical core.
+
+        Raises :class:`ConfigError` for a core outside ``[0,
+        logical_cores)`` — a negative index never wraps.
+        """
+        try:
+            return self.core_table[logical_core]
+        except KeyError:
+            self._check_core(logical_core)
+            raise ConfigError(
+                f"logical core {logical_core!r} is not a core index"
+            ) from None
 
     def _check_core(self, logical_core: int) -> None:
         if not 0 <= logical_core < self.logical_cores:

@@ -18,8 +18,6 @@ are deterministic and asserted in tests.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 
 class SimStats:
@@ -39,16 +37,9 @@ class SimStats:
         """Add ``n`` to the counter ``name`` (creating it at 0)."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
+    def timer(self, name: str) -> "_Timer":
         """Accumulate the wall time of the ``with`` body under ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = self.timings.get(name, 0.0) + (
-                time.perf_counter() - t0
-            )
+        return _Timer(self, name)
 
     def reset(self) -> None:
         self.counters.clear()
@@ -69,3 +60,28 @@ class SimStats:
         for name in sorted(self.timings):
             lines.append(f"  t_{name} = {self.timings[name]:.4f}s")
         return lines
+
+
+class _Timer:
+    """One ``with stats.timer(name)`` entry.
+
+    A fresh object per ``with``, so nesting the same name adds the inner
+    and the outer body each once; the time is added on exit also when the
+    body raises (the exception propagates).  A slotted class costs less
+    than half of a ``@contextmanager`` generator per entry.
+    """
+
+    __slots__ = ("_stats", "_name", "_t0")
+
+    def __init__(self, stats: SimStats, name: str) -> None:
+        self._stats = stats
+        self._name = name
+        self._t0 = 0.0
+
+    def __enter__(self) -> None:
+        self._t0 = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = time.perf_counter() - self._t0
+        timings = self._stats.timings
+        timings[self._name] = timings.get(self._name, 0.0) + elapsed

@@ -59,6 +59,41 @@ class TestVoltrinoTopology:
         assert self.SPEC.mem_bytes == 125 * GB
 
 
+class TestCoreTable:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MachineSpec.voltrino(),
+            MachineSpec.chameleon(),
+            MachineSpec.voltrino_knl(),
+            MachineSpec(smt=1),
+        ],
+        ids=["voltrino", "chameleon", "knl", "no-smt"],
+    )
+    def test_entries_match_the_per_core_methods(self, spec):
+        assert sorted(spec.core_table) == list(range(spec.logical_cores))
+        for core in range(spec.logical_cores):
+            assert spec.core_entry(core) == (
+                spec.physical_core_of(core),
+                spec.sibling_of(core),
+                spec.socket_of(core),
+            )
+
+    def test_shared_per_topology_and_not_part_of_equality(self):
+        spec = MachineSpec.voltrino()
+        assert spec.core_table is spec.core_table
+        same_shape = MachineSpec.voltrino().with_overrides(mem_bw_per_socket=1.0e9)
+        assert same_shape.core_table is spec.core_table
+        assert MachineSpec.chameleon().core_table is not spec.core_table
+        assert spec == MachineSpec.voltrino()
+        assert hash(spec) == hash(MachineSpec.voltrino())
+
+    @pytest.mark.parametrize("core", [-1, -64, 64, 1000, 1.5])
+    def test_outside_the_table_raises_config_error(self, core):
+        with pytest.raises(ConfigError):
+            MachineSpec.voltrino().core_entry(core)
+
+
 class TestPresets:
     def test_chameleon_differs(self):
         cc = MachineSpec.chameleon()

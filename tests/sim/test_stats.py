@@ -43,6 +43,30 @@ class TestTimers:
             pass
         assert "resolve" in stats.timings
 
+    def test_nested_same_name_and_exceptions_accumulate_exactly(self, monkeypatch):
+        # A fake clock that advances one second per read: each timed body
+        # spans exactly its clock reads, so the totals are exact.
+        clock = iter(range(100))
+        monkeypatch.setattr(
+            "repro.sim.stats.time.perf_counter", lambda: float(next(clock))
+        )
+        stats = SimStats()
+        with stats.timer("resolve"):  # reads 0 and 3
+            with stats.timer("resolve"):  # reads 1 and 2
+                pass
+        assert stats.timings == {"resolve": 3.0 + 1.0}
+        try:
+            with stats.timer("resolve"):  # reads 4 and 7
+                with stats.timer("node"):  # reads 5 and 6
+                    raise ValueError("boom")
+        except ValueError:
+            pass
+        # both bodies were charged although the inner one raised
+        assert stats.timings == {"resolve": 4.0 + 3.0, "node": 1.0}
+        with stats.timer("resolve"):  # reads 8 and 9
+            pass
+        assert stats.timings == {"resolve": 7.0 + 1.0, "node": 1.0}
+
 
 class TestRendering:
     def test_as_dict_prefixes_timings(self):
